@@ -16,16 +16,8 @@ import (
 	"strings"
 
 	"ristretto/internal/atom"
-	"ristretto/internal/balance"
-	"ristretto/internal/baselines/bitfusion"
-	"ristretto/internal/baselines/laconic"
-	"ristretto/internal/baselines/scnn"
-	"ristretto/internal/baselines/snap"
-	"ristretto/internal/baselines/sparten"
-	"ristretto/internal/energy"
 	"ristretto/internal/experiments"
 	"ristretto/internal/model"
-	"ristretto/internal/ristretto"
 	"ristretto/internal/telemetry"
 )
 
@@ -55,10 +47,9 @@ func main() {
 	// Validate every enum flag up front: an unknown value must name the
 	// allowed set and exit non-zero instead of silently falling through (or
 	// panicking deep inside a sweep).
-	accels := []string{"ristretto", "ristretto-ns", "bitfusion", "laconic", "laconic-mod", "sparten", "sparten-mp", "scnn", "snap"}
-	checkEnum("accel", *accel, accels)
+	checkEnum("accel", *accel, experiments.Accelerators)
 	checkEnum("precision", *precision, experiments.PrecisionNames)
-	checkEnum("balance", *bal, []string{"wa", "w", "none"})
+	checkEnum("balance", *bal, experiments.BalanceNames)
 	if *gran < 1 || *gran > 3 {
 		fatal(fmt.Errorf("invalid -gran %d (allowed: 1, 2, 3)", *gran))
 	}
@@ -91,59 +82,24 @@ func main() {
 	n := b.Networks()[0]
 	stats := b.Stats(n, *precision, atom.Granularity(*gran))
 
-	var policy balance.Policy
-	switch *bal {
-	case "wa":
-		policy = balance.WeightAct
-	case "w":
-		policy = balance.WeightOnly
-	case "none":
-		policy = balance.None
+	perf, m, err := experiments.EstimateAccel(stats, *accel, *tiles, *mults, *gran, experiments.Balances[*bal])
+	if err != nil {
+		fatal(err)
+	}
+	if *perLayer && perf.Layers != nil {
+		fmt.Printf("%-16s %12s %12s %6s\n", "layer", "cycles", "ideal", "util")
+		for i, lp := range perf.Layers {
+			fmt.Printf("%-16s %12d %12d %5.1f%%\n", stats[i].Layer.Name, lp.Cycles, lp.IdealCycles, 100*lp.Utilization)
+		}
 	}
 
-	m := energy.Default()
-	var cycles int64
-	var cnt energy.Counters
-	switch *accel {
-	case "ristretto", "ristretto-ns":
-		cfg := ristretto.Config{
-			Tiles:  *tiles,
-			Tile:   ristretto.TileConfig{Mults: *mults, Gran: atom.Granularity(*gran)},
-			Policy: policy,
-			Dense:  *accel == "ristretto-ns",
-		}
-		perf := ristretto.EstimateNetwork(stats, cfg)
-		cycles, cnt = perf.Cycles, perf.Counters
-		m = energy.ModelForGranularity(*gran)
-		if *perLayer {
-			fmt.Printf("%-16s %12s %12s %6s\n", "layer", "cycles", "ideal", "util")
-			for i, lp := range perf.Layers {
-				fmt.Printf("%-16s %12d %12d %5.1f%%\n", stats[i].Layer.Name, lp.Cycles, lp.IdealCycles, 100*lp.Utilization)
-			}
-		}
-	case "bitfusion":
-		cycles, cnt = bitfusion.EstimateNetwork(stats, bitfusion.DefaultConfig())
-	case "laconic":
-		cycles, cnt = laconic.EstimateNetwork(stats, laconic.DefaultConfig())
-	case "sparten":
-		cycles, cnt = sparten.EstimateNetwork(stats, sparten.DefaultConfig())
-	case "sparten-mp":
-		cycles, cnt = sparten.EstimateNetwork(stats, sparten.Config{CUs: 32, MP: true})
-	case "laconic-mod":
-		cycles, cnt = laconic.EstimateNetworkModified(stats, laconic.DefaultConfig())
-	case "scnn":
-		cycles, cnt = scnn.EstimateNetwork(stats, scnn.DefaultConfig())
-	case "snap":
-		cycles, cnt = snap.EstimateNetwork(stats, snap.DefaultConfig())
-	}
-
-	split := m.Split(cnt)
+	split := m.Split(perf.Counters)
 	fmt.Printf("network      : %s (%s, %d conv layers, %.2f GMACs)\n", n.Name, *precision, len(n.Layers), float64(n.MACs())/1e9)
 	fmt.Printf("accelerator  : %s\n", *accel)
-	fmt.Printf("cycles       : %d (%.3f ms @ 500 MHz)\n", cycles, float64(cycles)/500e3)
+	fmt.Printf("cycles       : %d (%.3f ms @ 500 MHz)\n", perf.Cycles, float64(perf.Cycles)/500e3)
 	fmt.Printf("energy       : %.3f mJ (compute %.3f, on-chip %.3f, DRAM %.3f)\n",
 		split.Total()/1e9, split.ComputePJ/1e9, split.OnChipPJ/1e9, split.OffChipPJ/1e9)
-	fmt.Printf("DRAM traffic : %.2f MB\n", float64(cnt.DRAMBytes)/(1<<20))
+	fmt.Printf("DRAM traffic : %.2f MB\n", float64(perf.Counters.DRAMBytes)/(1<<20))
 
 	if *telem {
 		snap := telemetry.Default.Snapshot()

@@ -6,11 +6,13 @@
 //
 // The matrices themselves live in this package's tests (the cell cache's
 // entry framing, the experiment checkpoint journal) and in
-// internal/fleet's (the fleet journal, whose reader is unexported). They
-// are the executable form of the durability claims in ARCHITECTURE.md:
-// safeio.WriteFile's rename discipline means a torn temp file leaves the
-// old entry intact, and the crc-guarded journal line framing means a torn
-// tail line is skipped, not misparsed.
+// internal/fleet's (the fleet journal, whose reader is unexported). Both
+// journals are schemas on safeio.Log, so their two matrices exercise one
+// reader through two record sets. They are the executable form of the
+// durability claims in ARCHITECTURE.md: safeio.WriteFile's rename
+// discipline means a torn temp file leaves the old entry intact, and the
+// record log's crc line framing means a torn tail line is skipped, not
+// misparsed.
 package crashmatrix
 
 import "fmt"

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -13,6 +14,7 @@ import (
 
 	"ristretto/internal/faultinject"
 	"ristretto/internal/runner"
+	"ristretto/internal/safeio"
 	"ristretto/internal/telemetry"
 )
 
@@ -188,7 +190,8 @@ func countJournalCells(path string) int {
 	}
 	n := 0
 	for _, line := range strings.Split(string(data), "\n") {
-		if rec, ok := decodeLine(line); ok && rec.Kind == "cell" {
+		var rec journalLine
+		if body, ok := safeio.DecodeRecord([]byte(line)); ok && json.Unmarshal(body, &rec) == nil && rec.Kind == "cell" {
 			n++
 		}
 	}

@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"hash/crc32"
-	"os"
 	"sync"
 
 	"ristretto/internal/safeio"
@@ -16,35 +12,25 @@ import (
 // change.
 const CheckpointSchema = "ristretto.checkpoint/v1"
 
-// journalLine is one record of the checkpoint file. The file is plain text,
-// one record per line: an 8-hex-digit IEEE crc32 of the JSON body, a space,
-// then the body itself. The first record is a header carrying the schema,
-// the writing tool and the workload fingerprint; every later record is a
-// completed cell keyed by a stable string with an opaque JSON payload.
+// journalLine is a cell record of the checkpoint, a safeio record log
+// whose header carries the schema, the writing tool and the workload
+// fingerprint: a completed cell keyed by a stable string with an opaque
+// JSON payload.
 type journalLine struct {
-	Kind        string          `json:"kind"` // "header" or "cell"
-	Schema      string          `json:"schema,omitempty"`
-	Tool        string          `json:"tool,omitempty"`
-	Fingerprint string          `json:"fingerprint,omitempty"`
-	Cell        string          `json:"cell,omitempty"`
-	Payload     json.RawMessage `json:"payload,omitempty"`
+	Kind    string          `json:"kind"` // "cell"
+	Cell    string          `json:"cell,omitempty"`
+	Payload json.RawMessage `json:"payload,omitempty"`
 }
 
 // Journal is an append-only, crc-guarded checkpoint file recording completed
-// sweep cells. Appends go through safeio.Appender — flushed and fsynced per
-// record — so a SIGKILL between records loses at most the record being
-// written, and a torn final line fails its crc and is skipped on resume
-// instead of poisoning the run. All file access goes through the journal's
-// safeio.FS, so the disk-fault injector can sit underneath it.
+// sweep cells, kept as a safeio.Log: every record is fsynced before Append
+// returns, so a SIGKILL between records loses at most the record being
+// written, and a torn final line is skipped on resume instead of poisoning
+// the run.
 type Journal struct {
-	mu      sync.Mutex
-	ap      *safeio.Appender
-	fsys    safeio.FS
-	path    string
-	done    map[string]json.RawMessage
-	resumed bool
-	corrupt int
-	closed  bool
+	log  *safeio.Log
+	mu   sync.Mutex
+	done map[string]json.RawMessage
 }
 
 // OpenJournal opens (or creates) the checkpoint file at path for the given
@@ -55,120 +41,23 @@ type Journal struct {
 // available through Lookup; corrupt or truncated lines are skipped and
 // counted. A missing file with resume true degrades to a fresh journal.
 func OpenJournal(path, tool, fingerprint string, resume bool) (*Journal, error) {
-	return OpenJournalFS(safeio.OS, path, tool, fingerprint, resume)
-}
-
-// OpenJournalFS is OpenJournal through an explicit filesystem (nil = the
-// real one) — the seam the crash-consistency matrix and the disk-fault
-// injector use.
-func OpenJournalFS(fsys safeio.FS, path, tool, fingerprint string, resume bool) (*Journal, error) {
-	if fsys == nil {
-		fsys = safeio.OS
-	}
-	j := &Journal{fsys: fsys, path: path, done: map[string]json.RawMessage{}}
-	if resume {
-		if err := j.load(tool, fingerprint); err != nil {
-			return nil, err
+	j := &Journal{done: map[string]json.RawMessage{}}
+	hdr := safeio.LogHeader{Schema: CheckpointSchema, Tool: tool, Fingerprint: fingerprint}
+	log, err := safeio.OpenLog(nil, path, hdr, resume, func(body []byte) bool {
+		var rec journalLine
+		if json.Unmarshal(body, &rec) != nil || rec.Kind != "cell" {
+			return false
 		}
-	}
-	ap, err := safeio.OpenAppenderFS(fsys, path, !j.resumed)
+		// Later valid duplicates win: a cell re-journaled after a
+		// partially-applied resume supersedes the earlier record.
+		j.done[rec.Cell] = rec.Payload
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}
-	j.ap = ap
-	if !j.resumed {
-		hdr := journalLine{Kind: "header", Schema: CheckpointSchema, Tool: tool, Fingerprint: fingerprint}
-		if err := j.append(hdr); err != nil {
-			ap.Close()
-			return nil, err
-		}
-	}
+	j.log = log
 	return j, nil
-}
-
-// load reads and validates an existing journal for resume.
-func (j *Journal) load(tool, fingerprint string) error {
-	f, err := j.fsys.Open(j.path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil // nothing to resume; start fresh
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	sawHeader := false
-	for sc.Scan() {
-		line := sc.Text()
-		rec, ok := decodeLine(line)
-		if !ok {
-			j.corrupt++
-			continue
-		}
-		switch rec.Kind {
-		case "header":
-			if rec.Schema != CheckpointSchema {
-				return fmt.Errorf("experiments: checkpoint %s has schema %q, want %q — rerun without -resume", j.path, rec.Schema, CheckpointSchema)
-			}
-			if rec.Tool != tool {
-				return fmt.Errorf("experiments: checkpoint %s was written by %q, not %q — rerun without -resume", j.path, rec.Tool, tool)
-			}
-			if rec.Fingerprint != fingerprint {
-				return fmt.Errorf("experiments: checkpoint %s fingerprint %q does not match this run (%q) — rerun without -resume", j.path, rec.Fingerprint, fingerprint)
-			}
-			sawHeader = true
-		case "cell":
-			// Later valid duplicates win: a cell re-journaled after a
-			// partially-applied resume supersedes the earlier record.
-			j.done[rec.Cell] = rec.Payload
-		default:
-			j.corrupt++
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("experiments: reading checkpoint %s: %w", j.path, err)
-	}
-	if !sawHeader {
-		if len(j.done) > 0 {
-			return fmt.Errorf("experiments: checkpoint %s has cells but no valid header — rerun without -resume", j.path)
-		}
-		return nil // empty or fully corrupt file: start fresh
-	}
-	j.resumed = true
-	return nil
-}
-
-// decodeLine parses one "crc json" line, rejecting torn or bit-flipped
-// records.
-func decodeLine(line string) (journalLine, bool) {
-	var rec journalLine
-	if len(line) < 10 || line[8] != ' ' {
-		return rec, false
-	}
-	var sum uint32
-	if _, err := fmt.Sscanf(line[:8], "%08x", &sum); err != nil {
-		return rec, false
-	}
-	body := line[9:]
-	if crc32.ChecksumIEEE([]byte(body)) != sum {
-		return rec, false
-	}
-	if err := json.Unmarshal([]byte(body), &rec); err != nil {
-		return rec, false
-	}
-	return rec, true
-}
-
-// append encodes and durably writes one record (flush + fsync via the
-// Appender).
-func (j *Journal) append(rec journalLine) error {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	line := fmt.Appendf(nil, "%08x %s\n", crc32.ChecksumIEEE(body), body)
-	return j.ap.Append(line)
 }
 
 // Append journals a completed cell under its stable key. The payload is
@@ -178,14 +67,11 @@ func (j *Journal) Append(cell string, payload any) error {
 	if err != nil {
 		return err
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return errors.New("experiments: journal closed")
-	}
-	if err := j.append(journalLine{Kind: "cell", Cell: cell, Payload: raw}); err != nil {
+	if err := j.log.Write(journalLine{Kind: "cell", Cell: cell, Payload: raw}); err != nil {
 		return err
 	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.done[cell] = raw
 	return nil
 }
@@ -200,7 +86,7 @@ func (j *Journal) Lookup(cell string) (json.RawMessage, bool) {
 
 // Resumable reports whether the journal was loaded from an existing,
 // header-valid file (i.e. this run is a resume).
-func (j *Journal) Resumable() bool { return j.resumed }
+func (j *Journal) Resumable() bool { return j.log.Resumed }
 
 // Cells reports how many distinct completed cells the journal holds.
 func (j *Journal) Cells() int {
@@ -211,22 +97,11 @@ func (j *Journal) Cells() int {
 
 // CorruptRecords reports how many lines were skipped as torn or corrupt
 // while loading.
-func (j *Journal) CorruptRecords() int { return j.corrupt }
+func (j *Journal) CorruptRecords() int { return j.log.Corrupt }
 
-// Path returns the journal file path.
-func (j *Journal) Path() string { return j.path }
-
-// Close flushes and closes the journal file. Records appended before Close
-// are already durable; Close exists to release the descriptor.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.closed = true
-	return j.ap.Close()
-}
+// Close closes the journal file; later Appends fail. Records appended
+// before Close are already durable; Close exists to release the descriptor.
+func (j *Journal) Close() error { return j.log.Close() }
 
 // resultJSON is the journal payload for a []*Result job: the Result struct
 // with its error flattened to a string so it round-trips through JSON and

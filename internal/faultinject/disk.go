@@ -20,7 +20,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -82,73 +81,24 @@ type DiskSpec struct {
 	After int
 }
 
-// ParseDiskSpec parses the -disk-fault flag syntax: comma-separated
-// key=value pairs, e.g.
+// ParseDiskSpec parses the -disk-fault flag syntax (see parseKV), e.g.
 //
 //	path=cells/*,seed=5,enospc=1,eio=0.2,sync-fail=0.1,torn-write=0.3,bit-rot=0.5,after=10
 //
 // An empty string yields a zero DiskSpec.
 func ParseDiskSpec(s string) (DiskSpec, error) {
 	var spec DiskSpec
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return spec, nil
-	}
-	for _, kv := range strings.Split(s, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return spec, fmt.Errorf("faultinject: bad pair %q (want key=value)", kv)
-		}
-		switch key {
-		case "seed":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return spec, fmt.Errorf("faultinject: bad seed %q", val)
-			}
-			spec.Seed = n
-		case "path":
-			spec.Path = val
-		case "enospc":
-			p, err := parseProb(val)
-			if err != nil {
-				return spec, fmt.Errorf("faultinject: bad enospc prob %q", val)
-			}
-			spec.ENOSPC = p
-		case "eio":
-			p, err := parseProb(val)
-			if err != nil {
-				return spec, fmt.Errorf("faultinject: bad eio prob %q", val)
-			}
-			spec.EIO = p
-		case "sync-fail":
-			p, err := parseProb(val)
-			if err != nil {
-				return spec, fmt.Errorf("faultinject: bad sync-fail prob %q", val)
-			}
-			spec.SyncFail = p
-		case "torn-write":
-			p, err := parseProb(val)
-			if err != nil {
-				return spec, fmt.Errorf("faultinject: bad torn-write prob %q", val)
-			}
-			spec.TornWrite = p
-		case "bit-rot":
-			p, err := parseProb(val)
-			if err != nil {
-				return spec, fmt.Errorf("faultinject: bad bit-rot prob %q", val)
-			}
-			spec.BitRot = p
-		case "after":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 1 {
-				return spec, fmt.Errorf("faultinject: bad after %q", val)
-			}
-			spec.After = n
-		default:
-			return spec, fmt.Errorf("faultinject: unknown key %q", key)
-		}
-	}
-	return spec, nil
+	err := parseKV(s, map[string]func(string) error{
+		"seed":       seedField(&spec.Seed),
+		"path":       stringField(&spec.Path),
+		"enospc":     probField(&spec.ENOSPC),
+		"eio":        probField(&spec.EIO),
+		"sync-fail":  probField(&spec.SyncFail),
+		"torn-write": probField(&spec.TornWrite),
+		"bit-rot":    probField(&spec.BitRot),
+		"after":      countField(&spec.After),
+	})
+	return spec, err
 }
 
 // Zero reports whether the spec injects nothing, so callers can keep the

@@ -58,77 +58,108 @@ type Spec struct {
 	KillAfter int
 }
 
-// ParseSpec parses the -fault flag syntax: comma-separated key=value
-// pairs, e.g.
+// ParseSpec parses the -fault flag syntax (see parseKV), e.g.
 //
 //	seed=7,panic=0.1,transient=0.2:2,delay=0.05:10ms,kill-after=5
 //
 // transient takes an optional :attempts suffix, delay a mandatory
 // :duration suffix. An empty string yields a zero Spec.
 func ParseSpec(s string) (Spec, error) {
-	var spec Spec
-	spec.TransientAttempts = 1
+	spec := Spec{TransientAttempts: 1}
+	err := parseKV(s, map[string]func(string) error{
+		"seed":  seedField(&spec.Seed),
+		"panic": probField(&spec.Panic),
+		"transient": func(v string) error {
+			prob, attempts, found := strings.Cut(v, ":")
+			if found {
+				if err := countField(&spec.TransientAttempts)(attempts); err != nil {
+					return err
+				}
+			}
+			return probField(&spec.Transient)(prob)
+		},
+		"delay":      probDurationField(&spec.DelayProb, &spec.Delay),
+		"kill-after": countField(&spec.KillAfter),
+	})
+	return spec, err
+}
+
+// parseKV is the grammar every fault flag shares: comma-separated
+// key=value pairs, each value handed to its key's setter. Keys may repeat
+// (the last wins); an unknown key, a pair without "=" or a value its setter
+// rejects fails the whole spec. An empty string sets nothing.
+func parseKV(s string, fields map[string]func(string) error) error {
 	s = strings.TrimSpace(s)
 	if s == "" {
-		return spec, nil
+		return nil
 	}
 	for _, kv := range strings.Split(s, ",") {
 		key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok {
-			return spec, fmt.Errorf("faultinject: bad pair %q (want key=value)", kv)
+			return fmt.Errorf("faultinject: bad pair %q (want key=value)", kv)
 		}
-		switch key {
-		case "seed":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return spec, fmt.Errorf("faultinject: bad seed %q", val)
-			}
-			spec.Seed = n
-		case "panic":
-			p, err := parseProb(val)
-			if err != nil {
-				return spec, fmt.Errorf("faultinject: bad panic prob %q", val)
-			}
-			spec.Panic = p
-		case "transient":
-			prob, attempts, found := strings.Cut(val, ":")
-			p, err := parseProb(prob)
-			if err != nil {
-				return spec, fmt.Errorf("faultinject: bad transient prob %q", prob)
-			}
-			spec.Transient = p
-			if found {
-				n, err := strconv.Atoi(attempts)
-				if err != nil || n < 1 {
-					return spec, fmt.Errorf("faultinject: bad transient attempts %q", attempts)
-				}
-				spec.TransientAttempts = n
-			}
-		case "delay":
-			prob, dur, found := strings.Cut(val, ":")
-			if !found {
-				return spec, fmt.Errorf("faultinject: delay needs prob:duration, got %q", val)
-			}
-			p, err := parseProb(prob)
-			if err != nil {
-				return spec, fmt.Errorf("faultinject: bad delay prob %q", prob)
-			}
-			d, err := time.ParseDuration(dur)
-			if err != nil || d < 0 {
-				return spec, fmt.Errorf("faultinject: bad delay duration %q", dur)
-			}
-			spec.DelayProb, spec.Delay = p, d
-		case "kill-after":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 1 {
-				return spec, fmt.Errorf("faultinject: bad kill-after %q", val)
-			}
-			spec.KillAfter = n
-		default:
-			return spec, fmt.Errorf("faultinject: unknown key %q", key)
+		set, ok := fields[key]
+		if !ok {
+			return fmt.Errorf("faultinject: unknown key %q", key)
+		}
+		if err := set(val); err != nil {
+			return fmt.Errorf("faultinject: bad %s %q: %w", key, val, err)
 		}
 	}
-	return spec, nil
+	return nil
+}
+
+// seedField sets a decision seed: any int64.
+func seedField(p *int64) func(string) error {
+	return func(v string) (err error) {
+		*p, err = strconv.ParseInt(v, 10, 64)
+		return err
+	}
+}
+
+// stringField sets a string verbatim.
+func stringField(p *string) func(string) error {
+	return func(v string) error {
+		*p = v
+		return nil
+	}
+}
+
+// probField sets a probability in [0,1].
+func probField(p *float64) func(string) error {
+	return func(v string) (err error) {
+		*p, err = parseProb(v)
+		return err
+	}
+}
+
+// countField sets a count of at least 1.
+func countField(p *int) func(string) error {
+	return func(v string) error {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 {
+			return fmt.Errorf("count %q is not an integer >= 1", v)
+		}
+		*p = n
+		return nil
+	}
+}
+
+// probDurationField sets a "prob:duration" pair: a probability in [0,1]
+// and a non-negative duration, both mandatory.
+func probDurationField(p *float64, d *time.Duration) func(string) error {
+	return func(v string) error {
+		prob, dur, found := strings.Cut(v, ":")
+		if !found {
+			return errors.New("want prob:duration")
+		}
+		n, err := time.ParseDuration(dur)
+		if err != nil || n < 0 {
+			return fmt.Errorf("duration %q is not a non-negative duration", dur)
+		}
+		*d = n
+		return probField(p)(prob)
+	}
 }
 
 func parseProb(s string) (float64, error) {

@@ -15,11 +15,8 @@ package faultinject
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -55,8 +52,7 @@ type NetSpec struct {
 	DripDelay time.Duration
 }
 
-// ParseNetSpec parses the -net-fault flag syntax: comma-separated
-// key=value pairs, e.g.
+// ParseNetSpec parses the -net-fault flag syntax (see parseKV), e.g.
 //
 //	host=127.0.0.1:8081,seed=9,corrupt=1,truncate=0.2,blackhole=0.1,slowdrip=0.3:50ms
 //
@@ -64,61 +60,15 @@ type NetSpec struct {
 // zero NetSpec.
 func ParseNetSpec(s string) (NetSpec, error) {
 	var spec NetSpec
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return spec, nil
-	}
-	for _, kv := range strings.Split(s, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return spec, fmt.Errorf("faultinject: bad pair %q (want key=value)", kv)
-		}
-		switch key {
-		case "seed":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return spec, fmt.Errorf("faultinject: bad seed %q", val)
-			}
-			spec.Seed = n
-		case "host":
-			spec.Host = val
-		case "corrupt":
-			p, err := parseProb(val)
-			if err != nil {
-				return spec, fmt.Errorf("faultinject: bad corrupt prob %q", val)
-			}
-			spec.Corrupt = p
-		case "truncate":
-			p, err := parseProb(val)
-			if err != nil {
-				return spec, fmt.Errorf("faultinject: bad truncate prob %q", val)
-			}
-			spec.Truncate = p
-		case "blackhole":
-			p, err := parseProb(val)
-			if err != nil {
-				return spec, fmt.Errorf("faultinject: bad blackhole prob %q", val)
-			}
-			spec.BlackHole = p
-		case "slowdrip":
-			prob, dur, found := strings.Cut(val, ":")
-			if !found {
-				return spec, fmt.Errorf("faultinject: slowdrip needs prob:duration, got %q", val)
-			}
-			p, err := parseProb(prob)
-			if err != nil {
-				return spec, fmt.Errorf("faultinject: bad slowdrip prob %q", prob)
-			}
-			d, err := time.ParseDuration(dur)
-			if err != nil || d < 0 {
-				return spec, fmt.Errorf("faultinject: bad slowdrip duration %q", dur)
-			}
-			spec.SlowDrip, spec.DripDelay = p, d
-		default:
-			return spec, fmt.Errorf("faultinject: unknown key %q", key)
-		}
-	}
-	return spec, nil
+	err := parseKV(s, map[string]func(string) error{
+		"seed":      seedField(&spec.Seed),
+		"host":      stringField(&spec.Host),
+		"corrupt":   probField(&spec.Corrupt),
+		"truncate":  probField(&spec.Truncate),
+		"blackhole": probField(&spec.BlackHole),
+		"slowdrip":  probDurationField(&spec.SlowDrip, &spec.DripDelay),
+	})
+	return spec, err
 }
 
 // Zero reports whether the spec injects nothing, so callers can skip

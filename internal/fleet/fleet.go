@@ -320,9 +320,9 @@ func Run(ctx context.Context, cfg Config) ([]*experiments.Result, Report, error)
 		}
 		c.journal = j
 		defer j.close()
-		if j.resumable() {
+		if j.log.Resumed {
 			cfg.Logf("fleet: resuming from %s (%d verified completions, %d corrupt records skipped)",
-				cfg.JournalPath, len(j.done), j.corruptRecords())
+				cfg.JournalPath, len(j.done), j.log.Corrupt)
 		}
 	}
 

@@ -12,6 +12,7 @@ import (
 
 	"ristretto/internal/experiments"
 	"ristretto/internal/faultinject"
+	"ristretto/internal/safeio"
 	"ristretto/internal/server"
 )
 
@@ -285,8 +286,9 @@ func TestFleetJournalPartialResume(t *testing.T) {
 	}
 	kept, completes := []string{}, 0
 	for _, line := range data {
-		rec, ok := decodeJournalLine(line)
-		if !ok {
+		body, ok := safeio.DecodeRecord([]byte(line))
+		var rec journalRec
+		if !ok || json.Unmarshal(body, &rec) != nil {
 			continue
 		}
 		if rec.Kind == "complete" {

@@ -1,8 +1,8 @@
 package fleet
 
 // Coordinator crash-resume: the fleet journals assignment and completion
-// state through a crc-guarded append-only file (the checkpoint journal's
-// discipline, fsynced per record via safeio.Appender), so a coordinator
+// state through a crc-guarded append-only file (a safeio.Log, like the
+// checkpoint journal, fsynced per record), so a coordinator
 // SIGKILLed mid-sweep resumes without re-dispatching completed cells.
 // Completion records carry the cell's payload bytes AND its
 // fingerprint-bound digest: resume re-verifies every record end to end,
@@ -12,12 +12,7 @@ package fleet
 // resumes correctly even with the cell cache disabled or wiped.
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"hash/crc32"
-	"os"
 	"sync"
 
 	"ristretto/internal/experiments"
@@ -33,16 +28,14 @@ const JournalSchema = "ristretto.fleet-journal/v1"
 // and an experiment checkpoint can never be confused for one another.
 const journalTool = "ristretto-fleet"
 
-// journalRec is one line of the journal: an 8-hex-digit IEEE crc32 of the
-// JSON body, a space, then the body. Kinds: "header" (schema, tool,
-// workload fingerprint), "assign" (cell handed to a worker — audit trail,
-// ignored on resume), "complete" (cell finished, with its payload and
+// journalRec is one record of the journal, a safeio record log whose
+// header carries the schema, journalTool and the workload fingerprint.
+// Kinds: "assign" (cell handed to a worker — audit trail, ignored on
+// resume) and "complete" (cell finished, with its payload and
 // fingerprint-bound digest).
 type journalRec struct {
 	Kind        string          `json:"kind"`
-	Schema      string          `json:"schema,omitempty"`
-	Tool        string          `json:"tool,omitempty"`
-	Fingerprint string          `json:"fingerprint,omitempty"` // header: workload; complete: cell
+	Fingerprint string          `json:"fingerprint,omitempty"` // complete: the cell's
 	Cell        string          `json:"cell,omitempty"`
 	Worker      int             `json:"worker,omitempty"`
 	Digest      string          `json:"digest,omitempty"`
@@ -59,16 +52,12 @@ type journalCell struct {
 // journal is the coordinator's crash-resume record. Safe for concurrent
 // use by the worker loops.
 type journal struct {
-	ap *safeio.Appender
+	log *safeio.Log
 
-	mu      sync.Mutex
-	done    map[string]journalCell
-	resumed bool
-	corrupt int
+	mu   sync.Mutex
+	done map[string]journalCell
 
-	records  *telemetry.Counter
-	loaded   *telemetry.Counter
-	corruptC *telemetry.Counter
+	records *telemetry.Counter
 }
 
 // openJournal opens (or creates) the journal at path for a sweep whose
@@ -79,129 +68,47 @@ type journal struct {
 // completion becomes available through lookup; torn, corrupt or
 // digest-mismatched records are skipped and counted, never served.
 func openJournal(fsys safeio.FS, path, benchFP string, resume bool, r *telemetry.Registry) (*journal, error) {
-	if fsys == nil {
-		fsys = safeio.OS
-	}
-	j := &journal{
-		done:     map[string]journalCell{},
-		records:  r.Counter("fleet.journal.records"),
-		loaded:   r.Counter("fleet.journal.resumed_cells"),
-		corruptC: r.Counter("fleet.journal.corrupt"),
-	}
-	if resume {
-		if err := j.load(fsys, path, benchFP); err != nil {
-			return nil, err
-		}
-	}
-	ap, err := safeio.OpenAppenderFS(fsys, path, !j.resumed)
-	if err != nil {
-		return nil, err
-	}
-	j.ap = ap
-	if !j.resumed {
-		hdr := journalRec{Kind: "header", Schema: JournalSchema, Tool: journalTool, Fingerprint: benchFP}
-		if err := j.append(hdr); err != nil {
-			ap.Close()
-			return nil, err
-		}
-	}
-	return j, nil
-}
-
-// load reads and validates an existing journal for resume. A missing file
-// degrades to a fresh journal.
-func (j *journal) load(fsys safeio.FS, path, benchFP string) error {
-	f, err := fsys.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	sawHeader := false
-	for sc.Scan() {
-		rec, ok := decodeJournalLine(sc.Text())
-		if !ok {
-			j.corrupt++
-			continue
+	j := &journal{done: map[string]journalCell{}, records: r.Counter("fleet.journal.records")}
+	loaded, corrupt := r.Counter("fleet.journal.resumed_cells"), r.Counter("fleet.journal.corrupt")
+	hdr := safeio.LogHeader{Schema: JournalSchema, Tool: journalTool, Fingerprint: benchFP}
+	log, err := safeio.OpenLog(fsys, path, hdr, resume, func(body []byte) bool {
+		var rec journalRec
+		if json.Unmarshal(body, &rec) != nil {
+			return false
 		}
 		switch rec.Kind {
-		case "header":
-			if rec.Schema != JournalSchema {
-				return fmt.Errorf("fleet: journal %s has schema %q, want %q — rerun without -resume", path, rec.Schema, JournalSchema)
-			}
-			if rec.Tool != journalTool {
-				return fmt.Errorf("fleet: journal %s was written by %q, not %q — rerun without -resume", path, rec.Tool, journalTool)
-			}
-			if rec.Fingerprint != benchFP {
-				return fmt.Errorf("fleet: journal %s fingerprint %q does not match this sweep (%q) — rerun without -resume", path, rec.Fingerprint, benchFP)
-			}
-			sawHeader = true
 		case "assign":
 			// Audit trail only: an assignment without a completion means the
 			// cell was in flight at the kill and must be re-dispatched.
+			return true
 		case "complete":
 			// End-to-end verification against the record's own fingerprint:
 			// the crc catches torn lines, the digest catches everything else
 			// (a record spliced from another journal, a corrupted payload
 			// with a recomputed crc).
 			if rec.Digest != experiments.CellPayloadDigest(rec.Fingerprint, rec.Payload) {
-				j.corrupt++
-				continue
+				return false
 			}
 			// Later valid duplicates win, like the checkpoint journal.
 			j.done[rec.Cell] = journalCell{fp: rec.Fingerprint, payload: rec.Payload}
-		default:
-			j.corrupt++
+			return true
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("fleet: reading journal %s: %w", path, err)
-	}
-	if !sawHeader {
-		if len(j.done) > 0 {
-			return fmt.Errorf("fleet: journal %s has completions but no valid header — rerun without -resume", path)
-		}
-		return nil // empty or fully corrupt: start fresh
-	}
-	j.resumed = true
-	j.loaded.Add(int64(len(j.done)))
-	j.corruptC.Add(int64(j.corrupt))
-	return nil
-}
-
-// decodeJournalLine parses one "crc json" line, rejecting torn or
-// bit-flipped records.
-func decodeJournalLine(line string) (journalRec, bool) {
-	var rec journalRec
-	if len(line) < 10 || line[8] != ' ' {
-		return rec, false
-	}
-	var sum uint32
-	if _, err := fmt.Sscanf(line[:8], "%08x", &sum); err != nil {
-		return rec, false
-	}
-	body := line[9:]
-	if crc32.ChecksumIEEE([]byte(body)) != sum {
-		return rec, false
-	}
-	if err := json.Unmarshal([]byte(body), &rec); err != nil {
-		return rec, false
-	}
-	return rec, true
-}
-
-// append encodes and durably writes one record.
-func (j *journal) append(rec journalRec) error {
-	body, err := json.Marshal(rec)
+		return false
+	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	line := fmt.Appendf(nil, "%08x %s\n", crc32.ChecksumIEEE(body), body)
-	if err := j.ap.Append(line); err != nil {
+	j.log = log
+	if log.Resumed {
+		loaded.Add(int64(len(j.done)))
+		corrupt.Add(int64(log.Corrupt))
+	}
+	return j, nil
+}
+
+// append durably writes one record.
+func (j *journal) append(rec journalRec) error {
+	if err := j.log.Write(rec); err != nil {
 		return err
 	}
 	j.records.Inc()
@@ -239,12 +146,5 @@ func (j *journal) lookup(cell string) (fp string, payload json.RawMessage, ok bo
 	return jc.fp, jc.payload, ok
 }
 
-// resumable reports whether the journal was loaded from an existing,
-// header-valid file.
-func (j *journal) resumable() bool { return j.resumed }
-
-// corruptRecords reports how many lines were skipped while loading.
-func (j *journal) corruptRecords() int { return j.corrupt }
-
 // close releases the journal file descriptor.
-func (j *journal) close() error { return j.ap.Close() }
+func (j *journal) close() error { return j.log.Close() }

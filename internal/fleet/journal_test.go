@@ -33,7 +33,7 @@ func newJournal(t *testing.T, path string, resume bool) (*journal, *telemetry.Re
 func TestJournalResumeSkipsCompleted(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fleet.journal")
 	j, _ := newJournal(t, path, false)
-	if j.resumable() {
+	if j.log.Resumed {
 		t.Fatal("fresh journal claims resume")
 	}
 	payloadA := json.RawMessage(`[{"id":"A","rows":[["1"]]}]`)
@@ -50,7 +50,7 @@ func TestJournalResumeSkipsCompleted(t *testing.T) {
 	j.close() // the kill: no Close-time state matters, every record is already durable
 
 	j2, r2 := newJournal(t, path, true)
-	if !j2.resumable() {
+	if !j2.log.Resumed {
 		t.Fatal("journal with valid header did not resume")
 	}
 	fp, payload, ok := j2.lookup("table4")
@@ -133,8 +133,8 @@ func TestJournalCorruptRecordsSkipped(t *testing.T) {
 	if _, payload, ok := j2.lookup("table4"); !ok || string(payload) != string(goodPayload) {
 		t.Fatal("valid record lost amid corruption")
 	}
-	if j2.corruptRecords() != 3 {
-		t.Fatalf("corruptRecords = %d, want 3", j2.corruptRecords())
+	if j2.log.Corrupt != 3 {
+		t.Fatalf("corruptRecords = %d, want 3", j2.log.Corrupt)
 	}
 	if snap := r2.Snapshot(); snap.Counters["fleet.journal.corrupt"] != 3 {
 		t.Fatalf("fleet.journal.corrupt = %d, want 3", snap.Counters["fleet.journal.corrupt"])
@@ -146,10 +146,43 @@ func TestJournalCorruptRecordsSkipped(t *testing.T) {
 func TestJournalMissingFileResumesFresh(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "never-written.journal")
 	j, _ := newJournal(t, path, true)
-	if j.resumable() {
+	if j.log.Resumed {
 		t.Fatal("missing file claims resume")
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatal("journal file not created")
+	}
+}
+
+// TestJournalFormatV1Resumes pins the on-disk format: a
+// ristretto.fleet-journal/v1 file written by an earlier build (one
+// completion's payload byte-flipped and a torn tail appended afterwards)
+// must still resume, with the three intact completions served and both
+// damaged lines counted as corrupt.
+func TestJournalFormatV1Resumes(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "fleet_journal_v1.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fleet.journal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := telemetry.NewRegistry()
+	j, err := openJournal(nil, path, "f1ee7000000000000000000000000000000000000000000000000000000000aa", true, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.close()
+	if !j.log.Resumed || len(j.done) != 3 || j.log.Corrupt != 2 {
+		t.Fatalf("resumable=%v cells=%d corrupt=%d, want true 3 2", j.log.Resumed, len(j.done), j.log.Corrupt)
+	}
+	for _, cell := range []string{"figure1", "table4", "taxonomy"} {
+		if _, _, ok := j.lookup(cell); !ok {
+			t.Errorf("completion %s not resumed", cell)
+		}
+	}
+	if _, _, ok := j.lookup("figure12"); ok {
+		t.Error("byte-flipped completion figure12 served")
 	}
 }

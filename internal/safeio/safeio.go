@@ -3,7 +3,9 @@
 // renamed over the target. A process killed mid-write (the chaos tests do
 // exactly this) leaves either the old file or the new one — never a
 // truncated hybrid. Manifest, checkpoint and tensor (.rstt) writers all go
-// through here.
+// through here. Appender adds fsynced appends, and Log builds on it the
+// crc-framed record log under the experiment checkpoint and the fleet
+// journal.
 //
 // Every disk operation goes through the FS seam (see fs.go): the default
 // is the OS passthrough, and internal/faultinject supplies a

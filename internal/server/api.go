@@ -29,10 +29,6 @@ func badRequest(format string, args ...any) *apiError {
 	return &apiError{Status: http.StatusBadRequest, Msg: fmt.Sprintf(format, args...)}
 }
 
-// accelNames are the accelerators the /v1/model endpoint can estimate,
-// matching ristretto-sim's -accel enum.
-var accelNames = []string{"ristretto", "ristretto-ns", "bitfusion", "laconic", "laconic-mod", "sparten", "sparten-mp", "scnn", "snap"}
-
 func checkEnum(field, val string, allowed []string) *apiError {
 	for _, a := range allowed {
 		if val == a {
@@ -80,7 +76,7 @@ func (r *ModelRequest) validate(cfg *Config) *apiError {
 	if err := checkEnum("precision", r.Precision, experiments.PrecisionNames); err != nil {
 		return err
 	}
-	if err := checkEnum("accel", r.Accel, accelNames); err != nil {
+	if err := checkEnum("accel", r.Accel, experiments.Accelerators); err != nil {
 		return err
 	}
 	return validateShape(r.Tiles, r.Mults, r.Gran, r.Balance, r.Scale)
@@ -199,7 +195,7 @@ func validateShape(tiles, mults, gran int, balance string, scale int) *apiError 
 	if gran < 1 || gran > 3 {
 		return badRequest("invalid gran %d (allowed: 1, 2, 3)", gran)
 	}
-	if err := checkEnum("balance", balance, []string{"wa", "w", "none"}); err != nil {
+	if err := checkEnum("balance", balance, experiments.BalanceNames); err != nil {
 		return err
 	}
 	if scale < 1 || scale > 1024 {

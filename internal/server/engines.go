@@ -10,12 +10,6 @@ import (
 	"math/rand"
 
 	"ristretto/internal/atom"
-	"ristretto/internal/balance"
-	"ristretto/internal/baselines/bitfusion"
-	"ristretto/internal/baselines/laconic"
-	"ristretto/internal/baselines/scnn"
-	"ristretto/internal/baselines/snap"
-	"ristretto/internal/baselines/sparten"
 	"ristretto/internal/conformance"
 	"ristretto/internal/energy"
 	"ristretto/internal/experiments"
@@ -24,17 +18,6 @@ import (
 	"ristretto/internal/ristretto"
 	"ristretto/internal/workload"
 )
-
-func balancePolicy(name string) balance.Policy {
-	switch name {
-	case "w":
-		return balance.WeightOnly
-	case "none":
-		return balance.None
-	default:
-		return balance.WeightAct
-	}
-}
 
 func energySplit(m energy.Model, c energy.Counters) EnergyPJ {
 	s := m.Split(c)
@@ -57,34 +40,9 @@ func (s *Server) runModel(_ context.Context, req *ModelRequest) (*ModelResponse,
 	n := b.Networks()[0]
 	stats := b.Stats(n, req.Precision, atom.Granularity(req.Gran))
 
-	m := energy.Default()
-	var cycles int64
-	var cnt energy.Counters
-	switch req.Accel {
-	case "ristretto", "ristretto-ns":
-		cfg := ristretto.Config{
-			Tiles:  req.Tiles,
-			Tile:   ristretto.TileConfig{Mults: req.Mults, Gran: atom.Granularity(req.Gran)},
-			Policy: balancePolicy(req.Balance),
-			Dense:  req.Accel == "ristretto-ns",
-		}
-		perf := ristretto.EstimateNetwork(stats, cfg)
-		cycles, cnt = perf.Cycles, perf.Counters
-		m = energy.ModelForGranularity(req.Gran)
-	case "bitfusion":
-		cycles, cnt = bitfusion.EstimateNetwork(stats, bitfusion.DefaultConfig())
-	case "laconic":
-		cycles, cnt = laconic.EstimateNetwork(stats, laconic.DefaultConfig())
-	case "laconic-mod":
-		cycles, cnt = laconic.EstimateNetworkModified(stats, laconic.DefaultConfig())
-	case "sparten":
-		cycles, cnt = sparten.EstimateNetwork(stats, sparten.DefaultConfig())
-	case "sparten-mp":
-		cycles, cnt = sparten.EstimateNetwork(stats, sparten.Config{CUs: 32, MP: true})
-	case "scnn":
-		cycles, cnt = scnn.EstimateNetwork(stats, scnn.DefaultConfig())
-	case "snap":
-		cycles, cnt = snap.EstimateNetwork(stats, snap.DefaultConfig())
+	perf, m, err := experiments.EstimateAccel(stats, req.Accel, req.Tiles, req.Mults, req.Gran, experiments.Balances[req.Balance])
+	if err != nil {
+		return nil, err
 	}
 	return &ModelResponse{
 		Net:       req.Net,
@@ -92,10 +50,10 @@ func (s *Server) runModel(_ context.Context, req *ModelRequest) (*ModelResponse,
 		Precision: req.Precision,
 		Layers:    len(n.Layers),
 		MACs:      n.MACs(),
-		Cycles:    cycles,
-		MS:        float64(cycles) / 500e3,
-		Energy:    energySplit(m, cnt),
-		DRAMBytes: cnt.DRAMBytes,
+		Cycles:    perf.Cycles,
+		MS:        float64(perf.Cycles) / 500e3,
+		Energy:    energySplit(m, perf.Counters),
+		DRAMBytes: perf.Counters.DRAMBytes,
 		Engine:    "analytic",
 	}, nil
 }
@@ -120,7 +78,7 @@ func (s *Server) runSimCore(_ context.Context, req *SimRequest) (*SimResponse, e
 		Tile:   ristretto.TileConfig{Mults: req.Mults, Gran: atom.Granularity(req.Gran)},
 		TileW:  req.TileW,
 		TileH:  req.TileH,
-		Policy: balancePolicy(req.Balance),
+		Policy: experiments.Balances[req.Balance],
 	}
 	res := ristretto.SimulateCore(f, k, l.Stride, l.Pad, cfg)
 	var busy int64
@@ -158,7 +116,7 @@ func (s *Server) runSimAnalytic(_ context.Context, req *SimRequest) (*SimRespons
 	cfg := ristretto.Config{
 		Tiles:  req.Tiles,
 		Tile:   ristretto.TileConfig{Mults: req.Mults, Gran: atom.Granularity(req.Gran)},
-		Policy: balancePolicy(req.Balance),
+		Policy: experiments.Balances[req.Balance],
 	}
 	lp := ristretto.EstimateLayer(st, cfg)
 	return &SimResponse{
