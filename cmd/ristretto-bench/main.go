@@ -67,7 +67,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload generation seed")
 	scale := flag.Int("scale", 1, "spatial scale-down factor (1 = paper scale)")
 	parallel := flag.Int("parallel", 0, "max concurrent experiments (0 = all CPUs, 1 = serial)")
-	only := flag.String("only", "", "run only the experiment whose ID contains this substring")
+	only := flag.String("only", "", "run only the experiments whose ID contains this substring")
 	csvDir := flag.String("csv", "", "also write one CSV per experiment into this directory")
 	quiet := flag.Bool("q", false, "suppress the run-stats footer")
 	telem := flag.Bool("telemetry", false, "enable telemetry: print the stage-utilization table and write a run manifest")
@@ -114,6 +114,13 @@ func main() {
 	spec, err := faultinject.ParseSpec(*faultSpec)
 	if err != nil {
 		fatal(err)
+	}
+	// -only computes just the cells whose Results it prints.
+	cells := experiments.CellKeys()
+	if *only != "" {
+		if cells = experiments.MatchCells(*only); len(cells) == 0 {
+			fatal(fmt.Errorf("-only %q matches no experiment ID (e.g. \"Figure 12\", \"Table IV\")", *only))
+		}
 	}
 	if err := prof.Start(); err != nil {
 		fatal(err)
@@ -171,7 +178,7 @@ func main() {
 		opts.Journal = j
 	}
 
-	results, rep, runErr := b.AllChecked(opts)
+	results, rep, runErr := b.CellsChecked(cells, opts)
 	failed := runErr != nil && !rep.Interrupted
 	for _, r := range results {
 		if *only != "" && !strings.Contains(strings.ToLower(r.ID), strings.ToLower(*only)) {

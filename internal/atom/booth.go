@@ -90,16 +90,36 @@ func OneCount(v int32) int {
 func TermHistogram(data []int32, booth bool) []int {
 	var h []int
 	for _, v := range data {
-		var t int
-		if booth {
-			t = TermCount(v)
-		} else {
-			t = OneCount(v)
-		}
-		for len(h) <= t {
-			h = append(h, 0)
-		}
-		h[t]++
+		h = addTerms(h, terms(v, booth), 1)
 	}
+	return h
+}
+
+// TermHistogramOf is TermHistogram over the values a magnitude histogram
+// counts (mags[m] values of magnitude m): term counts depend on |v| only,
+// so the result is TermHistogram of any data with that histogram.
+func TermHistogramOf(mags []int, booth bool) []int {
+	var h []int
+	for m, c := range mags {
+		if c > 0 {
+			h = addTerms(h, terms(int32(m), booth), c)
+		}
+	}
+	return h
+}
+
+func terms(v int32, booth bool) int {
+	if booth {
+		return TermCount(v)
+	}
+	return OneCount(v)
+}
+
+// addTerms adds c values of t terms to h, growing it as needed.
+func addTerms(h []int, t, c int) []int {
+	for len(h) <= t {
+		h = append(h, 0)
+	}
+	h[t] += c
 	return h
 }

@@ -13,10 +13,14 @@
 package benchmanifest
 
 import (
+	"math/rand"
 	"testing"
 
 	"ristretto/internal/atom"
 	"ristretto/internal/core"
+	"ristretto/internal/experiments"
+	"ristretto/internal/model"
+	"ristretto/internal/quant"
 	"ristretto/internal/ristretto"
 	"ristretto/internal/tensor"
 	"ristretto/internal/workload"
@@ -39,6 +43,10 @@ func Registry() []Benchmark {
 		{Name: "core/act_stream_16x16", Fn: benchActStream},
 		{Name: "core/weight_stream_16k", Fn: benchWeightStream},
 		{Name: "atom/decompose_sweep_8b", Fn: benchAtomDecompose},
+		{Name: "workload/network_stats_vgg16_s4", Fn: benchNetworkStats},
+		{Name: "workload/stats_from_tensors_1m", Fn: benchStatsFromTensors},
+		{Name: "quant/quantize_signed_1m", Fn: benchQuantizeSigned},
+		{Name: "quant/prune_to_density_1m", Fn: benchPruneToDensity},
 	}
 }
 
@@ -136,5 +144,67 @@ func benchAtomDecompose(b *testing.B) {
 		for v := int32(0); v < 256; v++ {
 			atom.Decompose(v, 8, 2)
 		}
+	}
+}
+
+// benchNetworkStats synthesizes the statistics of every VGG-16 layer at
+// 4 bits and scale 4, as one stats key of the scale-4 sweep: the workload
+// synthesis that dominates a cold sweep.
+func benchNetworkStats(b *testing.B) {
+	n := experiments.NewQuickBench(1, 4).Scaled(model.VGG16())
+	p := model.Uniform(n, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		workload.NewGen(int64(i)).NetworkStats(n, p, 2, true)
+	}
+}
+
+// synthLayer is the ~1M-value layer of the synthesis micro-benchmarks:
+// AlexNet conv4, 384×384×3×3 weights.
+var synthLayer = model.Layer{Name: "conv4", C: 384, H: 13, W: 13, K: 384, KH: 3, KW: 3, Stride: 1, Pad: 1}
+
+// benchStatsFromTensors measures the reference statistics walk over one
+// layer's materialized 4-bit operands.
+func benchStatsFromTensors(b *testing.B) {
+	f, k := workload.NewGen(3).LayerOperands(synthLayer, 4, 4, workload.Targets{WDensity: 0.4, ADensity: 0.35})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		workload.StatsFromTensors(synthLayer, f, k, 2, true)
+	}
+}
+
+// synthWeights returns Gaussian stand-ins for the layer's weights.
+func synthWeights() []float64 {
+	rng := rand.New(rand.NewSource(4))
+	x := make([]float64, synthLayer.Weights())
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	return x
+}
+
+// benchQuantizeSigned quantizes the layer's weights to 8 bits.
+func benchQuantizeSigned(b *testing.B) {
+	x := synthWeights()
+	cfg := quant.Config{Bits: 8, ClipSigma: quant.DefaultWeightClip(8)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		quant.QuantizeSigned(x, 1, cfg)
+	}
+}
+
+// benchPruneToDensity prunes the layer's 8-bit weights to 35% density,
+// restoring them from a copy each iteration (the copy is timed too).
+func benchPruneToDensity(b *testing.B) {
+	q := quant.QuantizeSigned(synthWeights(), 1, quant.Config{Bits: 8, ClipSigma: quant.DefaultWeightClip(8)})
+	buf := make([]int32, len(q))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf, q)
+		quant.PruneToDensity(buf, 0.35)
 	}
 }

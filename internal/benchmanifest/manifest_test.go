@@ -110,6 +110,10 @@ func TestRegistryNamesStable(t *testing.T) {
 		"core/act_stream_16x16",
 		"core/weight_stream_16k",
 		"atom/decompose_sweep_8b",
+		"workload/network_stats_vgg16_s4",
+		"workload/stats_from_tensors_1m",
+		"quant/quantize_signed_1m",
+		"quant/prune_to_density_1m",
 	}
 	reg := Registry()
 	if len(reg) != len(want) {

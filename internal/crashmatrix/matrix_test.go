@@ -244,3 +244,69 @@ func TestCheckpointJournalDurabilityIsPrefixMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCheckpointJournalResumeThenAppend replays every byte truncation of a
+// three-cell checkpoint journal, resumes it, journals one more cell and
+// resumes again: the new cell must replay byte-identical, and every cell
+// the first resume saw must survive. A torn tail line must not swallow
+// the record appended after it.
+func TestCheckpointJournalResumeThenAppend(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ckpt.journal")
+	j, err := experiments.OpenJournal(path, "crashmatrix", "fp-1", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := []string{"cell-a", "cell-b", "cell-c"}
+	for i, cell := range cells {
+		if err := j.Append(cell, map[string]any{"cell": cell, "rows": []int{i}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayPath := filepath.Join(dir, "replay.journal")
+	err = crashmatrix.Replay(data, func(n int, prefix []byte) error {
+		if err := os.WriteFile(replayPath, prefix, 0o644); err != nil {
+			return err
+		}
+		j1, err := experiments.OpenJournal(replayPath, "crashmatrix", "fp-1", true)
+		if err != nil {
+			return fmt.Errorf("resume failed: %w", err)
+		}
+		seen := map[string]json.RawMessage{}
+		for _, cell := range cells {
+			if raw, ok := j1.Lookup(cell); ok {
+				seen[cell] = raw
+			}
+		}
+		err = j1.Append("cell-new", map[string]any{"cell": "cell-new", "rows": []int{9}})
+		j1.Close()
+		if err != nil {
+			return err
+		}
+		want, _ := j1.Lookup("cell-new")
+		j2, err := experiments.OpenJournal(replayPath, "crashmatrix", "fp-1", true)
+		if err != nil {
+			return fmt.Errorf("second resume failed: %w", err)
+		}
+		defer j2.Close()
+		if raw, ok := j2.Lookup("cell-new"); !ok || !bytes.Equal(raw, want) {
+			return fmt.Errorf("cell appended after the resume lost (present %v)", ok)
+		}
+		for cell, raw := range seen {
+			if got, ok := j2.Lookup(cell); !ok || !bytes.Equal(got, raw) {
+				return fmt.Errorf("%s lost by the append after resume", cell)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

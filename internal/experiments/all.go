@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -97,9 +99,12 @@ type RunReport struct {
 	Failures []telemetry.CellFailure
 }
 
-// namedJob pairs an experiment job with the stable key it journals under.
+// namedJob pairs an experiment job with the stable key it journals under
+// and the IDs of the Results it returns, in order: what MatchCells selects
+// cells by without running them.
 type namedJob struct {
 	key string
+	ids []string
 	run func() []*Result
 }
 
@@ -110,30 +115,45 @@ func (b *Bench) jobs() []namedJob {
 	one := func(f func() *Result) func() []*Result {
 		return func() []*Result { return []*Result{f()} }
 	}
+	id := func(ids ...string) []string { return ids }
 	return []namedJob{
-		{"figure1", one(b.Figure1)},
-		{"taxonomy", Taxonomy},
-		{"figure4", one(b.Figure4)},
-		{"table4", one(TableIV)},
-		{"table6", one(TableVI)},
-		{"figure12", one(b.Figure12)},
-		{"figure13", one(b.Figure13)},
-		{"figure14", one(b.Figure14)},
-		{"figure15", one(b.Figure15)},
-		{"figure16", one(b.Figure16)},
-		{"figure17", one(b.Figure17)},
-		{"figure18", one(b.Figure18)},
-		{"figure19a", one(b.Figure19a)},
-		{"figure19b", one(b.Figure19b)},
-		{"ext-tablei", one(b.ExtTableI)},
-		{"ext-figure3", one(b.ExtFigure3)},
-		{"ext-stride", one(b.ExtStride)},
-		{"ext-fifo", one(b.ExtFIFO)},
-		{"ext-formats", one(b.ExtFormats)},
-		{"ext-highprec", one(b.ExtHighPrecision)},
-		{"ext-balancing", one(b.ExtBalancingNetworks)},
-		{"ext-multicore", one(b.ExtMultiCore)},
+		{"figure1", id("Figure 1"), one(b.Figure1)},
+		{"taxonomy", id("Table I", "Table II", "Table III", "Table V"), Taxonomy},
+		{"figure4", id("Figure 4"), one(b.Figure4)},
+		{"table4", id("Table IV"), one(TableIV)},
+		{"table6", id("Table VI"), one(TableVI)},
+		{"figure12", id("Figure 12"), one(b.Figure12)},
+		{"figure13", id("Figure 13"), one(b.Figure13)},
+		{"figure14", id("Figure 14"), one(b.Figure14)},
+		{"figure15", id("Figure 15"), one(b.Figure15)},
+		{"figure16", id("Figure 16"), one(b.Figure16)},
+		{"figure17", id("Figure 17"), one(b.Figure17)},
+		{"figure18", id("Figure 18"), one(b.Figure18)},
+		{"figure19a", id("Figure 19a"), one(b.Figure19a)},
+		{"figure19b", id("Figure 19b"), one(b.Figure19b)},
+		{"ext-tablei", id("Extension A (Table I trio)"), one(b.ExtTableI)},
+		{"ext-figure3", id("Extension B (Figure 3)"), one(b.ExtFigure3)},
+		{"ext-stride", id("Extension C (stride handling)"), one(b.ExtStride)},
+		{"ext-fifo", id("Extension D (FIFO depth)"), one(b.ExtFIFO)},
+		{"ext-formats", id("Extension E (formats)"), one(b.ExtFormats)},
+		{"ext-highprec", id("Extension F (16-bit modes)"), one(b.ExtHighPrecision)},
+		{"ext-balancing", id("Extension G (balancing across networks)"), one(b.ExtBalancingNetworks)},
+		{"ext-multicore", id("Extension H (multi-core scaling)"), one(b.ExtMultiCore)},
 	}
+}
+
+// MatchCells returns, in paper order, the keys of the cells that return a
+// Result whose ID contains pattern, ignoring case: the cells a run filtered
+// to those Results needs to compute.
+func MatchCells(pattern string) []string {
+	pattern = strings.ToLower(pattern)
+	var keys []string
+	for _, j := range (&Bench{}).jobs() {
+		if slices.ContainsFunc(j.ids, func(id string) bool { return strings.Contains(strings.ToLower(id), pattern) }) {
+			keys = append(keys, j.key)
+		}
+	}
+	return keys
 }
 
 // All runs every regenerated table and figure in paper order, fanning the
@@ -159,7 +179,26 @@ func (b *Bench) AllStats() ([]*Result, RunStats) {
 // stop-mode job failure or a cancelled context; with KeepGoing the failures
 // are in the report instead.
 func (b *Bench) AllChecked(opts RunOptions) ([]*Result, RunReport, error) {
-	jobs := b.jobs()
+	return b.CellsChecked(CellKeys(), opts)
+}
+
+// CellsChecked is AllChecked over the given cells only, run in paper order
+// whatever the order of keys. An unknown key is an error.
+func (b *Bench) CellsChecked(keys []string, opts RunOptions) ([]*Result, RunReport, error) {
+	all := b.jobs()
+	want := map[string]bool{}
+	for _, k := range keys {
+		if !slices.ContainsFunc(all, func(j namedJob) bool { return j.key == k }) {
+			return nil, RunReport{}, fmt.Errorf("experiments: unknown cell %q (see CellKeys)", k)
+		}
+		want[k] = true
+	}
+	var jobs []namedJob
+	for _, j := range all {
+		if want[j.key] {
+			jobs = append(jobs, j)
+		}
+	}
 	type jobOut struct {
 		rs      []*Result
 		elapsed time.Duration

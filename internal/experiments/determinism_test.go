@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,14 +18,39 @@ func renderAll(t *testing.T, workers int) string {
 	b.Nets = []string{"AlexNet", "ResNet-18"}
 	b.Workers = workers
 	var sb strings.Builder
-	for _, r := range b.All() {
+	results, rep, _ := b.AllChecked(RunOptions{})
+	for _, r := range results {
 		if r.Err != nil {
 			t.Fatalf("workers=%d: %s failed: %v", workers, r.ID, r.Err)
 		}
 		sb.WriteString(r.String())
 		sb.WriteByte('\n')
 	}
+	// The IDs MatchCells selects each cell by are the IDs of the Results
+	// it returns.
+	for i, j := range b.jobs() {
+		if !slices.Equal(rep.Timings[i].IDs, j.ids) {
+			t.Fatalf("cell %s returned %q, jobs lists %q", j.key, rep.Timings[i].IDs, j.ids)
+		}
+	}
 	return sb.String()
+}
+
+func TestMatchCells(t *testing.T) {
+	for pattern, want := range map[string][]string{
+		"Figure 12":    {"figure12"},
+		"figure 1":     {"figure1", "figure12", "figure13", "figure14", "figure15", "figure16", "figure17", "figure18", "figure19a", "figure19b"},
+		"table i":      {"taxonomy", "table4", "ext-tablei"},
+		"(formats)":    {"ext-formats"},
+		"no such cell": nil,
+	} {
+		if got := MatchCells(pattern); !slices.Equal(got, want) {
+			t.Errorf("MatchCells(%q) = %q, want %q", pattern, got, want)
+		}
+	}
+	if _, _, err := NewQuickBench(1, 8).CellsChecked([]string{"no-such-cell"}, RunOptions{}); err == nil {
+		t.Error("CellsChecked accepted an unknown cell")
+	}
 }
 
 // TestAllDeterministicAcrossWorkers is the bit-identity guarantee behind the

@@ -43,6 +43,9 @@ type Log struct {
 	// bodies that are not JSON objects, and records the replay callback
 	// refused.
 	Corrupt int
+
+	// torn records that the resumed file's last line has no newline.
+	torn bool
 }
 
 // OpenLog opens (or creates) the record log at path through fsys (nil =
@@ -71,6 +74,12 @@ func OpenLog(fsys FS, path string, hdr LogHeader, resume bool, replay func(body 
 		return nil, err
 	}
 	l.Appender = ap
+	if l.Resumed && l.torn {
+		// The file ends in a torn line: start the next record on a line
+		// of its own, or it would join the torn bytes and fail its CRC on
+		// the next resume. The newline goes out with that record's write.
+		ap.w.WriteByte('\n')
+	}
 	if !l.Resumed {
 		if err := l.Write(headerRecord{Kind: "header", LogHeader: hdr}); err != nil {
 			ap.Close()
@@ -93,6 +102,13 @@ func (l *Log) replay(fsys FS, path string, want LogHeader, fn func(body []byte) 
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, line, err := bufio.ScanLines(data, atEOF)
+		if line != nil {
+			l.torn = data[adv-1] != '\n'
+		}
+		return adv, line, err
+	})
 	sawHeader, accepted := false, 0
 	for sc.Scan() {
 		body, ok := DecodeRecord(sc.Bytes())

@@ -201,6 +201,50 @@ func TestRecordLogAppendsAfterResume(t *testing.T) {
 	}
 }
 
+// TestRecordLogAppendsAfterTornTailResume: a resume over a torn last line
+// starts the next record on a fresh line, so every record fsynced after
+// the resume replays on the next one; resuming an intact file adds no
+// bytes.
+func TestRecordLogAppendsAfterTornTailResume(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "test.log")
+	data := writeTestLog(t, path, testHeader, 1, 2)
+	if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resume := func() (*Log, []int) {
+		t.Helper()
+		var replayed []int
+		l, err := OpenLog(nil, path, testHeader, true, func(body []byte) bool {
+			var rec testRec
+			if json.Unmarshal(body, &rec) != nil {
+				return false
+			}
+			replayed = append(replayed, rec.N)
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l, replayed
+	}
+	l, _ := resume()
+	for _, n := range []int{3, 4} {
+		if err := l.Write(testRec{Kind: "rec", N: n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	before, _ := os.ReadFile(path)
+	l, replayed := resume()
+	l.Close()
+	if want := []int{1, 3, 4}; !slices.Equal(replayed, want) || l.Corrupt != 1 {
+		t.Fatalf("replayed %v with %d corrupt, want %v with 1 (the torn record)", replayed, l.Corrupt, want)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Fatalf("resuming an intact log changed it:\n%q\nto\n%q", before, after)
+	}
+}
+
 // TestDecodeRecord pins the line framing: "%08x <json>" with the IEEE
 // CRC-32 of the body.
 func TestDecodeRecord(t *testing.T) {

@@ -26,7 +26,7 @@ func NewFeatureMap(c, h, w, bits int) *FeatureMap {
 	if c <= 0 || h <= 0 || w <= 0 {
 		panic(fmt.Sprintf("tensor: invalid feature map shape %dx%dx%d", c, h, w))
 	}
-	checkBits(bits)
+	CheckBits(bits)
 	return &FeatureMap{C: c, H: h, W: w, Bits: bits, Data: make([]int32, c*h*w)}
 }
 
@@ -82,7 +82,7 @@ func NewKernelStack(k, c, kh, kw, bits int) *KernelStack {
 	if k <= 0 || c <= 0 || kh <= 0 || kw <= 0 {
 		panic(fmt.Sprintf("tensor: invalid kernel shape %dx%dx%dx%d", k, c, kh, kw))
 	}
-	checkBits(bits)
+	CheckBits(bits)
 	return &KernelStack{K: k, C: c, KH: kh, KW: kw, Bits: bits, Data: make([]int32, k*c*kh*kw)}
 }
 
@@ -176,7 +176,8 @@ func (o *OutputMap) MaxAbsDiff(p *OutputMap) int32 {
 	return m
 }
 
-func checkBits(bits int) {
+// CheckBits panics unless bits is a width a tensor can hold: 1 to 16.
+func CheckBits(bits int) {
 	if bits < 1 || bits > 16 {
 		panic(fmt.Sprintf("tensor: unsupported bit-width %d", bits))
 	}

@@ -116,21 +116,44 @@ func NewGen(seed int64) *Gen {
 // ±60% while preserving the mean.
 func (g *Gen) FeatureMap(c, h, w, bits int, aDensity float64) *tensor.FeatureMap {
 	f := tensor.NewFeatureMap(c, h, w, bits)
-	raw := make([]float64, h*w)
+	q := actQuantizer(bits)
+	hist := make([]int, 1<<bits)
 	for ch := 0; ch < c; ch++ {
-		for i := range raw {
-			raw[i] = g.rng.NormFloat64()
-		}
-		q := quant.QuantizeUnsigned(raw, 1, quant.Config{Bits: bits, ClipSigma: quant.DefaultActClip(bits)})
 		plane := f.Channel(ch)
-		copy(plane, q)
-		// Pseudo-random per-channel factor in [0.4, 1.6], mean ≈1. Hashed
-		// by channel index (not sequential) so that cyclic tile assignment
-		// does not accidentally balance it.
-		factor := 0.4 + 1.2*float64(splitmix(uint64(ch)+0x9e37)%1024)/1023
-		quant.PruneToDensity(plane, clamp01(aDensity*factor))
+		synth(g, plane, q, hist, channelDensity(aDensity, ch)).Apply(plane)
 	}
 	return f
+}
+
+// channelDensity is channel ch's share of the activation density target.
+func channelDensity(aDensity float64, ch int) float64 {
+	// Pseudo-random per-channel factor in [0.4, 1.6], mean ≈1. Hashed by
+	// channel index (not sequential) so that cyclic tile assignment does
+	// not accidentally balance it.
+	factor := 0.4 + 1.2*float64(splitmix(uint64(ch)+0x9e37)%1024)/1023
+	return clamp01(aDensity * factor)
+}
+
+func actQuantizer(bits int) quant.Quantizer {
+	return quant.Unsigned(1, quant.Config{Bits: bits, ClipSigma: quant.DefaultActClip(bits)})
+}
+
+func weightQuantizer(bits int) quant.Quantizer {
+	return quant.Signed(1, quant.Config{Bits: bits, ClipSigma: quant.DefaultWeightClip(bits)})
+}
+
+// synth is pass 1 of operand synthesis: it draws len(dst) standard normals
+// in generator order, stores each one's quantized code in dst and counts its
+// magnitude in hist (cleared first, sized past the largest code), then plans
+// the magnitude pruning of dst to density. No real-valued copy is kept.
+func synth[E quant.Int](g *Gen, dst []E, q quant.Quantizer, hist []int, density float64) quant.Plan {
+	clear(hist)
+	for i := range dst {
+		v := E(q.Code(g.rng.NormFloat64()))
+		dst[i] = v
+		hist[quant.Mag(v)]++
+	}
+	return quant.PlanPrune(hist, len(dst)-hist[0], quant.Keep(density, len(dst)))
 }
 
 func splitmix(x uint64) uint64 {
@@ -145,13 +168,8 @@ func splitmix(x uint64) uint64 {
 // target density.
 func (g *Gen) Kernels(k, c, kh, kw, bits int, wDensity float64) *tensor.KernelStack {
 	ks := tensor.NewKernelStack(k, c, kh, kw, bits)
-	raw := make([]float64, ks.Len())
-	for i := range raw {
-		raw[i] = g.rng.NormFloat64()
-	}
-	q := quant.QuantizeSigned(raw, 1, quant.Config{Bits: bits, ClipSigma: quant.DefaultWeightClip(bits)})
-	copy(ks.Data, q)
-	quant.PruneToDensity(ks.Data, wDensity)
+	q := weightQuantizer(bits)
+	synth(g, ks.Data, q, make([]int, 1<<(bits-1)), wDensity).Apply(ks.Data)
 	return ks
 }
 
